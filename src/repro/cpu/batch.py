@@ -11,15 +11,17 @@ data lanes (Section 2).
 What is shared, and why it is exact
 -----------------------------------
 
-* **Decoded records.**  Each :class:`~repro.emulib.trace.TimingRecord` is
-  folded once into flat ring buffers of plain ints and tuples (issue
-  constants, packed register charges, chaining mode) sized to two
-  streaming blocks, so a frame-scale trace is decoded once for the whole
-  grid instead of once per point while peak memory stays at the columnar
-  store plus two blocks.  Constants that depend on an ablation knob are
-  folded into per-knob ring *variants* (records the knob does not touch
-  share one tuple object), so lanes select a ring up front instead of
-  re-testing knobs per instruction.
+* **Decoded rows.**  Each row of the trace's columnar store
+  (:meth:`~repro.emulib.trace.Trace.iter_rows`) is folded once, with no
+  intermediate :class:`~repro.emulib.trace.TimingRecord`, into flat ring
+  buffers of plain ints and tuples (issue constants, packed register
+  charges, chaining mode) sized to two streaming blocks, so any trace is
+  decoded once for the whole grid instead of once per point while peak
+  memory stays at the columnar store plus two blocks -- the trace's
+  record cache is never filled.  Constants that depend on an ablation
+  knob are folded into per-knob ring *variants* (rows the knob does not
+  touch share one tuple object), so lanes select a ring up front
+  instead of re-testing knobs per instruction.
 * **Dependences.**  ``Core.run`` discovers producers dynamically through
   a ``last_writer`` map that drops entries at commit.  Commit is in
   order, so the in-flight window is the contiguous index range
@@ -79,12 +81,9 @@ import heapq
 from collections import deque
 from time import perf_counter as _perf_counter
 
-try:
-    import numpy as _np
-except ImportError:                    # pragma: no cover - numpy is baked in
-    _np = None
+import numpy as _np
 
-from ..emulib.trace import TimingRecord, Trace
+from ..emulib.trace import DynInstr, TimingRecord, Trace
 from ..isa.model import InstrClass, RegPool
 from ..memsys.perfect import PerfectMemory
 from .config import MachineConfig
@@ -103,9 +102,9 @@ _FAM = {
     InstrClass.MED_COMPLEX: (2, True),
 }
 
-_KIND_MEMORY = TimingRecord.KIND_MEMORY
 _KIND_CONTROL = TimingRecord.KIND_CONTROL
 _KIND_COMPUTE = TimingRecord.KIND_COMPUTE
+_MED = int(RegPool.MED)
 
 #: SWAR register/LSQ accounting: pool ``p`` occupies bits ``[16p,
 #: 16p+16)`` and the LSQ is field 4 (bits ``[64, 80)``), each with bias
@@ -195,6 +194,15 @@ class _CtlState:
 class _SharedDecode:
     """The once-per-trace decode products, consumed block by block.
 
+    Rows come straight from the trace's columnar store
+    (:meth:`~repro.emulib.trace.Trace.iter_rows`); no per-row record
+    object is built.  Within one run two things are memoized: the issue
+    constants and flags per ``(op_id, vl)`` (from the trace's per-opcode
+    :meth:`~repro.emulib.trace.Trace.op_metas` table), and the SWAR
+    charges per ``(dsts, vl, is_memory)``.  Only memory rows get a
+    :class:`~repro.emulib.trace.DynInstr`, because the memory models
+    take one.
+
     Per record, indexed ``i & mask``:
 
     * ``op_raw`` / ``op_ac`` -- single-row pipelined compute packs to a
@@ -218,10 +226,17 @@ class _SharedDecode:
       plus the positional nonzero-control lists
     """
 
-    def __init__(self, n: int, next_record, dep_cap: int,
+    def __init__(self, trace: Trace, dep_cap: int,
                  ctl_classes, block: int, ring: int) -> None:
+        n = len(trace)
         self.n = n
-        self.next_record = next_record
+        self.next_row = trace.iter_rows().__next__
+        self.metas = trace.op_metas()
+        #: ``vl * len(metas) + op_id`` -> (op_raw, op_ac, code, chains,
+        #: elide); see :meth:`_classify`.
+        self._op_memo: dict[int, tuple] = {}
+        #: ``(dsts, vl, is_memory)`` -> packed charges; see :func:`_charges`.
+        self._charge_memo: dict[tuple, tuple[int, ...]] = {}
         self.dep_cap = dep_cap
         self.block = block
         if n > ring:
@@ -256,6 +271,59 @@ class _SharedDecode:
         self._zeros = [0] * fill
         self._nones: list = [None] * fill
         self._falses = [False] * fill
+
+    @staticmethod
+    def _classify(meta, vl: int) -> tuple:
+        """Issue constants of one (opcode, vl) pair.
+
+        Returns ``(op_raw, op_ac, code, chains, elide)``: the two op-ring
+        values (for memory rows a tuple still missing its trailing
+        ``DynInstr``), ``code`` 0 = compute/nop, 1 = memory, 2 = branch,
+        3 = jump, the element-chaining flag and whether the zero-idiom
+        elision drops the row's charges.
+        """
+        is_mem = meta.is_memory
+        if vl <= 1:
+            chmode = 0
+        elif is_mem:
+            chmode = 1
+        elif meta.writes_acc:
+            chmode = 0
+        else:
+            chmode = 2
+        chains = vl > 1 and meta.chains_class
+        elide = meta.op_name in Core.ZERO_IDIOMS
+        kind = meta.kind
+        if kind == _KIND_COMPUTE:
+            fam, needc = _FAM[meta.iclass]
+            rows = vl if meta.is_media_compute else 1
+            nonpip = meta.op_name in _NON_PIPELINED
+            sidx = fam * 2 + needc
+            lat = meta.latency
+            if rows == 1 and not nonpip:
+                # Fast single-row pipelined compute, packed as a small
+                # int (scan index | latency << 3).  For these the
+                # chain-ready cycle always equals completion (chmode 0
+                # trivially; chmode 2 because the first element lands
+                # with the last when occupancy is one cycle), so the
+                # stepper's int path skips the chain-mode dispatch.
+                op = sidx | lat << 3
+            else:
+                op = (kind, sidx, False, rows, lat, nonpip, chmode, vl, None)
+            # Eligible accumulates always span multiple rows, so the
+            # chained variant is never int-packed.
+            op_ac = ((kind, sidx, False, rows, 1, nonpip, chmode, vl, None)
+                     if meta.acc_pair and meta.is_media_compute and vl > 1
+                     else op)
+            return op, op_ac, 0, chains, elide
+        if is_mem:
+            op = (1, 0, False, 1, 0, False, chmode, vl)
+            return op, op, 1, chains, elide
+        if kind == _KIND_CONTROL:
+            op = (2, 0, False, 1, 0, False, 0, 1, None)
+            return op, op, 3 if meta.is_jump else 2, chains, elide
+        op = (3, 0, False, 1, 0, False, 0, 1, None)
+        return op, op, 0, chains, elide
 
     def decode_block(self) -> None:
         """Decode up to one block of records into the shared rings."""
@@ -303,65 +371,32 @@ class _SharedDecode:
         rel_z = self.rel_z
         lw = self.last_writer
         cap = self.dep_cap
-        nxt = self.next_record
-        zero_set = Core.ZERO_IDIOMS
-        nonpip_set = _NON_PIPELINED
-        fam_map = _FAM
-        lsq_bit = 1 << _LSQ_SHIFT
-        lsq_mask = _BIAS << _LSQ_SHIFT
+        nxt = self.next_row
+        metas = self.metas
+        nops = len(metas)
+        op_memo = self._op_memo
+        charge_memo = self._charge_memo
+        classify = self._classify
         ctl_rows: list[tuple[int, int, bool, int, object]] = []
-        for off in range(m):
-            rec = nxt()
-            i = start + off
+        for i in range(start, start + m):
+            op_id, srcs, dsts, addr, nbytes, stride, vl, taken, site = nxt()
             slot = i & mask
-            kind = rec.kind
-            vl = rec.vl
-            is_mem = kind == _KIND_MEMORY
-            if vl <= 1:
-                chmode = 0
-            elif is_mem:
-                chmode = 1
-            elif rec.writes_acc:
-                chmode = 0
-            else:
-                chmode = 2
-            op_name = rec.op_name
-            if kind == _KIND_COMPUTE:
-                fam, needc = fam_map[rec.iclass]
-                rows = rec.exec_rows
-                nonpip = op_name in nonpip_set
-                sidx = fam * 2 + needc
-                if rows == 1 and not nonpip:
-                    # Fast single-row pipelined compute, packed as a
-                    # small int (scan index | latency << 3).  For these
-                    # the chain-ready cycle always equals completion
-                    # (chmode 0 trivially; chmode 2 because the first
-                    # element lands with the last when occupancy is one
-                    # cycle), so the stepper's int path skips the
-                    # chain-mode dispatch entirely.
-                    op = sidx | rec.latency << 3
-                else:
-                    op = (kind, sidx, False, rows, rec.latency, nonpip,
-                          chmode, vl, None)
-                op_raw_r[slot] = op
-                # Eligible accumulates always span multiple rows, so the
-                # chained variant is never int-packed.
-                op_ac_r[slot] = ((kind, sidx, False, rows, 1, nonpip,
-                                  chmode, vl, None)
-                                 if rec.acc_chain_eligible else op)
-            else:
-                if is_mem:
-                    ismem_r[slot] = 1
-                    op = (1, 0, False, 1, 0, False, chmode, vl, rec.instr)
-                elif kind == _KIND_CONTROL:
-                    op = (2, 0, False, 1, 0, False, 0, 1, None)
-                    ctl_rows.append((i, slot, rec.is_jump, rec.site,
-                                     rec.taken))
-                else:
-                    op = (3, 0, False, 1, 0, False, 0, 1, None)
+            key = vl * nops + op_id
+            ent = op_memo.get(key)
+            if ent is None:
+                ent = op_memo[key] = classify(metas[op_id], vl)
+            op, op_ac, code, chains, elide = ent
+            if code == 1:
+                op += (DynInstr(metas[op_id].op, srcs, dsts, addr, nbytes,
+                                stride, vl, taken, site),)
                 op_raw_r[slot] = op
                 op_ac_r[slot] = op
-            srcs = rec.srcs
+                ismem_r[slot] = 1
+            else:
+                op_raw_r[slot] = op
+                op_ac_r[slot] = op_ac
+                if code:
+                    ctl_rows.append((i, slot, code == 3, site, taken))
             if srcs:
                 dl = None
                 for src in srcs:
@@ -373,52 +408,23 @@ class _SharedDecode:
                             dl.append(j)
                 if dl is not None:
                     deps_r[slot] = tuple(dl)
-                    if rec.chains:
+                    if chains:
                         chains_r[slot] = True
-            dsts = rec.dsts
-            if dsts or is_mem:
-                alloc = smask = if_sum = all_sum = rel = chk = 0
-                if len(dsts) == 1:
-                    d, pool, charge = dsts[0]
-                    sh = pool << 4
-                    alloc = chk = all_sum = charge << sh
-                    smask = _BIAS << sh
-                    if pool < 2:
-                        if_sum = alloc
-                    else:
-                        rel = alloc
+            if dsts or code == 1:
+                ckey = (dsts, vl, code == 1)
+                ch = charge_memo.get(ckey)
+                if ch is None:
+                    ch = charge_memo[ckey] = _charges(*ckey)
+                alloc, chk, smask, all_sum, if_sum, rel = ch
+                for d in dsts:
                     lw[d] = i
-                elif dsts:
-                    mx: dict[int, int] = {}
-                    for d, pool, charge in dsts:
-                        p = int(pool)
-                        sh = p << 4
-                        packed = charge << sh
-                        alloc += packed
-                        all_sum += packed
-                        if p < 2:
-                            if_sum += packed
-                        else:
-                            rel += packed
-                        smask |= _BIAS << sh
-                        if charge > mx.get(p, 0):
-                            mx[p] = charge
-                        lw[d] = i
-                    for p, c in mx.items():
-                        chk += c << (p << 4)
-                if is_mem:       # LSQ admission/occupancy as SWAR field 4
-                    alloc += lsq_bit
-                    chk += lsq_bit
-                    smask |= lsq_mask
-                    if_sum += lsq_bit
-                    all_sum += lsq_bit
                 alloc_raw[slot] = alloc
                 chk_r[slot] = chk
                 smask_raw[slot] = smask
                 cfull_raw[slot] = all_sum
                 cif_raw[slot] = if_sum
                 rel_raw[slot] = rel
-                if op_name not in zero_set:
+                if not elide:
                     alloc_z[slot] = alloc
                     smask_z[slot] = smask
                     cfull_z[slot] = all_sum
@@ -476,6 +482,42 @@ class _SharedDecode:
             st.mispredicts = mispred
             st.btb_misses = bmiss
         self.avail = start + m
+
+
+def _charges(dsts: tuple[int, ...], vl: int,
+             is_memory: bool) -> tuple[int, ...]:
+    """SWAR charges of one row: ``(alloc, chk, smask, commit_full,
+    commit_if, rel)``.
+
+    A destination costs ``vl`` rename rows in the MED pool (at least
+    one) and one row elsewhere; memory rows add an LSQ slot as field 4.
+    """
+    alloc = smask = if_sum = all_sum = rel = chk = 0
+    mx: dict[int, int] = {}
+    for d in dsts:
+        p = d >> 8
+        charge = vl if p == _MED and vl > 1 else 1
+        sh = p << 4
+        packed = charge << sh
+        alloc += packed
+        all_sum += packed
+        if p < 2:
+            if_sum += packed
+        else:
+            rel += packed
+        smask |= _BIAS << sh
+        if charge > mx.get(p, 0):
+            mx[p] = charge
+    for p, c in mx.items():
+        chk += c << (p << 4)
+    if is_memory:       # LSQ admission/occupancy as SWAR field 4
+        lsq_bit = 1 << _LSQ_SHIFT
+        alloc += lsq_bit
+        chk += lsq_bit
+        smask |= _BIAS << _LSQ_SHIFT
+        if_sum += lsq_bit
+        all_sum += lsq_bit
+    return alloc, chk, smask, all_sum, if_sum, rel
 
 
 class _LaneState:
@@ -1094,9 +1136,6 @@ class BatchCore:
             :meth:`run`'s result list.
     """
 
-    #: Same trace-size threshold and record sources as :class:`Core`.
-    STREAM_THRESHOLD = Core.STREAM_THRESHOLD
-
     #: Records decoded per pause-resume round.  The shared rings hold
     #: two blocks, so a lane may trail the decode frontier by up to one
     #: whole block (its live window is only ``rob + 2*width`` anyway).
@@ -1108,8 +1147,6 @@ class BatchCore:
         can express; ``None`` (default) uses it when available unless
         ``REPRO_NO_JIT=1``.  Inexpressible lanes always stay on the
         interpreted steppers (a *mixed* group runs both paths)."""
-        if _np is None:
-            raise UnbatchableError("numpy is unavailable")
         self.jit = jit
         specs: list[LaneSpec] = []
         for lane in lanes:
@@ -1184,9 +1221,7 @@ class BatchCore:
                 try:
                     stats = run_lanes_jit(
                         [lanes[i] for i in jit_reps], trace,
-                        block=self.BLOCK, ring=self.RING,
-                        stream_threshold=self.STREAM_THRESHOLD,
-                        phases=phases)
+                        block=self.BLOCK, ring=self.RING, phases=phases)
                 except UnjittableError:
                     pass
                 else:
@@ -1196,16 +1231,9 @@ class BatchCore:
         _t = _perf_counter()
         _decode_t = 0.0
         _step_t = 0.0
-        # Same record-source policy as Core.run: cached records for the
-        # grid-reuse regime, streamed chunks for frame-scale traces.
-        if trace.records_cached() or n < self.STREAM_THRESHOLD:
-            next_record = iter(trace.timing_records()).__next__
-        else:
-            next_record = trace.iter_timing_records().__next__
-
         states = [_LaneState(lanes[i], i) for i in py_reps]
         dep_cap = max((st.rob_size for st in states), default=1)
-        shared = _SharedDecode(n, next_record, dep_cap,
+        shared = _SharedDecode(trace, dep_cap,
                                {st.ctl_key for st in states},
                                self.BLOCK, self.RING)
         _decode_t += _perf_counter() - _t

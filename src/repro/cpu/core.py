@@ -265,7 +265,8 @@ class Core:
     #: of materializing (and caching) the full record list -- the
     #: frame-scale path.  Below it, the cached list is kept so the
     #: experiment grid's reuse of one trace across many configurations
-    #: classifies each instruction once.
+    #: classifies each instruction once.  Only this class reads it: the
+    #: batch engine always decodes straight from the trace columns.
     STREAM_THRESHOLD = 1 << 20
 
     #: Zeroing idioms rename to a hard-wired zero value and allocate no
@@ -840,9 +841,7 @@ class Core:
         # view of the interpreted re-run.
         jit_phases: dict | None = {} if phases is not None else None
         try:
-            (stats,) = run_lanes_jit(
-                [spec], trace, stream_threshold=self.STREAM_THRESHOLD,
-                phases=jit_phases)
+            (stats,) = run_lanes_jit([spec], trace, phases=jit_phases)
         except UnjittableError:
             return None
         ctl = stats["ctl"]

@@ -20,9 +20,11 @@ public API is unchanged -- :meth:`Trace.append` still takes a
 :class:`DynInstr`, iteration still yields :class:`DynInstr` objects
 (materialized on demand), and ``trace.instructions`` remains a mutable
 list-like escape hatch -- so builders, the vectorizing compiler and the
-digest code are untouched, while the cycle-level core can stream
-:class:`TimingRecord` chunks without ever materializing the object form
-(:meth:`Trace.iter_timing_records`).
+digest code are untouched, while the timing cores read the columns
+without ever materializing the object form: :meth:`Trace.iter_rows` is
+the one row source, which :meth:`Trace.iter_timing_records` and the batch
+engine's shared decode both consume alongside the per-opcode
+classification table :meth:`Trace.op_metas`.
 
 Two invariants the tests pin:
 
@@ -44,6 +46,7 @@ model can use them as dictionary keys cheaply.  Use :func:`reg` and
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -210,12 +213,14 @@ class TimingRecord:
 
 
 class _OpMeta:
-    """Per-opcode constants folded once per trace for fast record builds.
+    """Per-opcode classification, folded once per trace.
 
     Everything :class:`TimingRecord` derives from the :class:`Opcode` (and
-    nothing else) lives here, so the per-row work of a record build is pure
-    attribute assignment.  The equivalence with the reference constructor
-    is pinned by ``tests/test_trace_columnar.py``.
+    nothing else) lives here.  It is the one classification table of the
+    streaming consumers: record builds (:meth:`Trace.iter_timing_records`)
+    are pure attribute assignment from it, and the batch engine's shared
+    decode reads it directly.  The equivalence with the reference
+    constructor is pinned by ``tests/test_trace_columnar.py``.
     """
 
     __slots__ = ("op", "iclass", "kind", "is_memory", "is_branch", "is_jump",
@@ -307,6 +312,13 @@ def _csr(tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, values
 
 
+def _operand_tuples(off: np.ndarray, val: np.ndarray) -> list[tuple]:
+    """Invert :func:`_csr`: the per-row operand tuples of one chunk."""
+    val = val.tolist()
+    off = off.tolist()
+    return [tuple(val[a:b]) for a, b in zip(off, off[1:])]
+
+
 def _fit(values: list, small: np.dtype, wide: np.dtype) -> np.ndarray:
     """A column in its compact dtype, widened only when a value demands it.
 
@@ -386,26 +398,19 @@ class _Chunk:
         )
 
     def iter_rows(self):
-        """All rows as canonical Python tuples (bulk ``tolist`` decode)."""
-        op = self.op.tolist()
-        has_addr = self.has_addr.tolist()
+        """All rows as canonical Python tuples: each column is decoded in
+        bulk (``tolist``) and the rows are zipped together in C."""
         addr = self.addr.tolist()
-        nbytes = self.nbytes.tolist()
-        stride = self.stride.tolist()
-        vl = self.vl.tolist()
-        taken = self.taken.tolist()
-        site = self.site.tolist()
-        src_off = self.src_off.tolist()
-        src_val = self.src_val.tolist()
-        dst_off = self.dst_off.tolist()
-        dst_val = self.dst_val.tolist()
-        for i in range(self.n):
-            yield (op[i],
-                   tuple(src_val[src_off[i]:src_off[i + 1]]),
-                   tuple(dst_val[dst_off[i]:dst_off[i + 1]]),
-                   addr[i] if has_addr[i] else None,
-                   nbytes[i], stride[i], vl[i],
-                   _TAKEN_DECODE[taken[i] + 1], site[i])
+        if not self.has_addr.all():
+            addr = [a if h else None
+                    for a, h in zip(addr, self.has_addr.tolist())]
+        taken = list(map(_TAKEN_DECODE.__getitem__,
+                         (self.taken + 1).tolist()))
+        return zip(self.op.tolist(),
+                   _operand_tuples(self.src_off, self.src_val),
+                   _operand_tuples(self.dst_off, self.dst_val),
+                   addr, self.nbytes.tolist(), self.stride.tolist(),
+                   self.vl.tolist(), taken, self.site.tolist())
 
     def nbytes_storage(self) -> int:
         """Bytes of column storage this chunk occupies (diagnostics)."""
@@ -653,10 +658,7 @@ class Trace:
     def _raw_rows(self):
         """Every row as a canonical tuple, op decoded to its Opcode."""
         ops = self._ops
-        for chunk in self._chunks:
-            for row in chunk.iter_rows():
-                yield (ops[row[0]],) + row[1:]
-        for row in self._stage.iter_rows():
+        for row in self.iter_rows():
             yield (ops[row[0]],) + row[1:]
 
     def _stat_blocks(self):
@@ -717,6 +719,25 @@ class Trace:
         for op, *rest in self._raw_rows():
             yield (op.isa, op.name, *rest)
 
+    def iter_rows(self):
+        """Every row as ``(op_id, srcs, dsts, addr, nbytes, stride, vl,
+        taken, site)``: the sealed chunks in order, then the staging tail.
+
+        Values are canonical Python ints/bools/tuples (``addr``/``taken``
+        keep their ``None``); ``op_id`` indexes :meth:`op_metas`.  This is
+        the one row source every streaming consumer reads -- the record
+        stream below and the batch core's shared decode -- so nothing
+        builds per-row objects it does not need.
+        """
+        # Chunks decode one at a time, as the walk reaches them.
+        return chain(chain.from_iterable(map(_Chunk.iter_rows, self._chunks)),
+                     self._stage.iter_rows())
+
+    def op_metas(self) -> list[_OpMeta]:
+        """Per-opcode classification, indexed by the op ids of
+        :meth:`iter_rows` (built fresh: interning may grow the table)."""
+        return [_OpMeta(op) for op in self._ops]
+
     def iter_timing_records(self, materialize: str = "memory"):
         """Stream :class:`TimingRecord` per row without retaining them.
 
@@ -728,21 +749,15 @@ class Trace:
                 :meth:`timing_records` list).
 
         Record attributes are identical to ``TimingRecord(instr)``; the
-        per-opcode constants are folded once per trace (:class:`_OpMeta`)
-        and the per-row work is plain assignment over bulk-decoded
-        columns.
+        per-opcode constants come from :meth:`op_metas` and the per-row
+        work is plain assignment over :meth:`iter_rows`.
         """
         want_all = materialize == "all"
-        metas = [_OpMeta(op) for op in self._ops]
+        metas = self.op_metas()
         pools = _POOL_BY_ID
         med = RegPool.MED
         for op_id, srcs, dsts, addr, nbytes, stride, vl, taken, site \
-                in (row for chunk in self._chunks
-                    for row in chunk.iter_rows()):
-            yield self._record(metas[op_id], srcs, dsts, addr, nbytes,
-                               stride, vl, taken, site, want_all, pools, med)
-        for op_id, srcs, dsts, addr, nbytes, stride, vl, taken, site \
-                in self._stage.iter_rows():
+                in self.iter_rows():
             yield self._record(metas[op_id], srcs, dsts, addr, nbytes,
                                stride, vl, taken, site, want_all, pools, med)
 

@@ -129,23 +129,7 @@ def test_mixed_group_through_session(tmp_path):
         assert result.meta.get("batch_lanes") == 4, point
 
 
-# --- STREAM_THRESHOLD boundary through the jit path --------------------------
-
-THRESHOLD = 512
-
-
-@pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1],
-                         ids=("below", "exact", "above"))
-def test_stream_boundary_through_jit(monkeypatch, n):
-    trace = _trace_of_length(n)
-    cfg = machine_config(4, "mmx")
-    ref = Core(cfg, PerfectMemory(1, 2, 1)).run(trace, jit=False)
-    monkeypatch.setattr(Core, "STREAM_THRESHOLD", THRESHOLD)
-    trace.invalidate_summary()      # a cached record list would win
-    result = Core(cfg, PerfectMemory(1, 2, 1)).run(trace, jit=True)
-    assert result.meta["jit"] is True
-    assert result_digest(result) == result_digest(ref)
-
+# --- decode rings ------------------------------------------------------------
 
 def test_decode_ring_wraparound():
     """A long trace through deliberately small decode blocks and rings

@@ -1,24 +1,29 @@
-"""The cached-records / streaming crossover is seamless at the boundary.
+"""Record sources and column geometry never shift timing.
 
-``Core.run`` (and ``BatchCore.run``) pick their record source by trace
-size: below ``STREAM_THRESHOLD`` (or whenever a record list is already
-cached) they walk the cached ``timing_records()`` list; at or above it
-they stream ``TimingRecords`` chunk by chunk.  These tests pin that a
-trace at exactly the threshold and at ``threshold +- 1`` produces
-bit-identical ``SimResult`` digests through both paths, so the crossover
-can never shift timing.
+``Core.run`` picks its record source by trace size: below
+``STREAM_THRESHOLD`` (or whenever a record list is already cached) it
+walks the cached ``timing_records()`` list; at or above it it streams
+``TimingRecords`` chunk by chunk.  The boundary tests pin that a trace at
+exactly the threshold and at ``threshold +- 1`` produces bit-identical
+``SimResult`` digests through both paths, so the crossover can never
+shift timing.  The default threshold (1 << 20 instructions) would need
+megainstruction traces, so the boundary is exercised by lowering
+``STREAM_THRESHOLD`` to a kernel-sized value -- the selection logic is
+identical, only the constant moves.
 
-The default threshold (1 << 20 instructions) would need megainstruction
-traces, so the boundary is exercised by lowering ``STREAM_THRESHOLD`` to
-a kernel-sized value -- the selection logic is identical, only the
-constant moves.
+``BatchCore`` (and the jit driver behind it) has no such choice: its
+shared decode always reads the trace's columnar rows, sealed chunks then
+staging tail, and never fills the record cache.  The geometry tests pin
+that every way of laying the same rows out in chunks digests exactly as
+``Core.run`` does.
 """
 
 import pytest
 
 from repro.cpu import Core, machine_config
 from repro.cpu.batch import BatchCore, LaneSpec
-from repro.emulib.trace import Trace
+from repro.cpu.jit import run_lanes_jit
+from repro.emulib.trace import CHUNK_ROWS, Trace
 from repro.exp.engine import built_kernel
 from repro.memsys import PerfectMemory
 
@@ -28,10 +33,10 @@ from test_golden_digest import result_digest
 def test_default_threshold_value():
     """The production crossover sits at 1M instructions (frame scale)."""
     assert Core.STREAM_THRESHOLD == 1 << 20
-    assert BatchCore.STREAM_THRESHOLD == Core.STREAM_THRESHOLD
 
 
-def _trace_of_length(n: int):
+def _trace_of_length(n: int, *, isa: str = "mmx",
+                     chunk_rows: int = CHUNK_ROWS):
     """A trace of exactly ``n`` instructions (kernel trace, repeated).
 
     Built as a *fresh* ``Trace`` object: ``built_kernel`` memoizes per
@@ -39,8 +44,8 @@ def _trace_of_length(n: int):
     every later test and benchmark sharing the memo (and, through the
     experiment engine, poison the on-disk result cache with results of
     the mutilated trace)."""
-    seed = built_kernel("idct", "mmx").trace
-    base = Trace(seed.isa)
+    seed = built_kernel("idct", isa).trace
+    base = Trace(seed.isa, chunk_rows=chunk_rows)
     while len(base) < n:
         base.extend(seed)
     base.truncate(n)
@@ -77,15 +82,61 @@ def test_boundary_lengths_digest_identically_through_both_paths(
     assert cached == streamed
 
 
-@pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1],
-                         ids=("below", "exact", "above"))
-def test_boundary_lengths_batch_matches_core(monkeypatch, n):
-    """BatchCore's source selection crosses over at the same point."""
-    trace = _trace_of_length(n)
-    ref = _digest(trace, streamed=False, monkeypatch=monkeypatch,
-                  threshold=THRESHOLD)
-    monkeypatch.setattr(BatchCore, "STREAM_THRESHOLD", THRESHOLD)
-    trace.invalidate_summary()
-    lanes = [LaneSpec(machine_config(4, "mmx"), PerfectMemory(1, 2, 1))]
-    (result,) = BatchCore(lanes).run(trace)
-    assert result_digest(result) == ref
+# --- BatchCore reads the columns directly ------------------------------------
+
+def _lane(isa: str) -> LaneSpec:
+    cfg = machine_config(4, isa)
+    return LaneSpec(cfg, PerfectMemory(1, cfg.mem_ports, cfg.mem_port_width))
+
+
+def _appended_after_cache(isa: str):
+    """A trace whose record list was cached, then grown past it."""
+    trace = _trace_of_length(1000, isa=isa)
+    trace.timing_records()
+    assert trace.records_cached()
+    trace.extend(built_kernel("idct", isa).trace)
+    return trace
+
+
+#: (chunk_rows, length) layouts of the same repeated kernel rows: one row
+#: per chunk; 7-row chunks with and without an unsealed staging tail; the
+#: default chunk size all in the tail, and exactly one sealed chunk.
+GEOMETRIES = {
+    "rows1": lambda isa: _trace_of_length(300, isa=isa, chunk_rows=1),
+    "rows7-tail": lambda isa: _trace_of_length(703, isa=isa, chunk_rows=7),
+    "rows7-sealed": lambda isa: _trace_of_length(700, isa=isa, chunk_rows=7),
+    "default-tail": lambda isa: _trace_of_length(1500, isa=isa),
+    "default-sealed": lambda isa: _trace_of_length(CHUNK_ROWS, isa=isa),
+    "appended-after-cache": _appended_after_cache,
+}
+
+
+@pytest.mark.parametrize("jit", (False, True), ids=("purepy", "jit"))
+@pytest.mark.parametrize("isa", ("mmx", "mom"))
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+def test_column_geometry_batch_matches_core(monkeypatch, geometry, isa, jit):
+    """However the rows are chunked, a BatchCore lane -- interpreted or
+    through the jit kernel (forced runnable without numba) -- digests
+    exactly as ``Core.run``, and leaves the record cache empty."""
+    monkeypatch.setenv("REPRO_JIT_PUREPY", "1")
+    trace = GEOMETRIES[geometry](isa)
+    (result,) = BatchCore([_lane(isa)], jit=jit).run(trace)
+    assert result.meta["jit"] is jit
+    assert not trace.records_cached()
+    fresh = _lane(isa)
+    ref = Core(fresh.config, fresh.memsys).run(trace, jit=False)
+    assert result.instructions == len(trace)
+    assert result_digest(result) == result_digest(ref)
+
+
+def test_batch_paths_leave_record_cache_empty(monkeypatch):
+    """Below ``STREAM_THRESHOLD`` ``Core.run`` caches the record list; the
+    batch decode must not, which is what keeps a cold sweep's peak memory
+    at the columnar store plus the decode rings."""
+    monkeypatch.setenv("REPRO_JIT_PUREPY", "1")
+    trace = _trace_of_length(THRESHOLD)
+    assert len(trace) < Core.STREAM_THRESHOLD
+    BatchCore([_lane("mmx"), _lane("mmx")], jit=False).run(trace)
+    assert not trace.records_cached()
+    run_lanes_jit([_lane("mmx")], trace)
+    assert not trace.records_cached()
