@@ -32,16 +32,11 @@ import pytest
 
 from repro.cpu import Core, machine_config
 from repro.cpu.batch import BatchCore, LaneSpec
-from repro.cpu.jit import NUMBA_VERSION, jit_enabled, numba_available, warm
 from repro.emulib.trace import Trace
 from repro.exp.engine import built_app, built_kernel
 from repro.memsys import PerfectMemory
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-#: jit rows only with a real compiler (the pure-python shim would record
-#: meaningless numbers); availability is always recorded in the JSON so
-#: ``repro bench`` deltas across differently-equipped hosts stay readable.
-JIT_BENCH = numba_available() and jit_enabled()
 FRAME = os.environ.get("REPRO_BATCH_BENCH_FRAME") == "1"
 STREAM_N = 1 << 15 if SMOKE else 1 << 19
 FRAME_N = 1 << 20
@@ -95,8 +90,6 @@ def emit_bench_json():
     payload = {
         "benchmark": "batch_speed",
         "smoke": SMOKE,
-        "numba": NUMBA_VERSION,
-        "jit_rows": JIT_BENCH,
         **_results,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -105,11 +98,7 @@ def emit_bench_json():
 
 
 def _sweep(trace, grid, *, streamed):
-    """(sequential_seconds, batch_seconds, results) for one grid.
-
-    Both baselines pin ``jit=False`` so the rows stay comparable with the
-    PR 6 trajectory on numba-equipped hosts; the compiled path gets its
-    own rows via :func:`_jit_pass`."""
+    """(sequential_seconds, batch_seconds, results) for one grid."""
     lanes = [_lane(way, lat) for way, lat in grid]
 
     seq_results = []
@@ -120,12 +109,12 @@ def _sweep(trace, grid, *, streamed):
         cfg = machine_config(way, "mmx")
         core = Core(cfg, PerfectMemory(lat, cfg.mem_ports,
                                        cfg.mem_port_width))
-        seq_results.append(core.run(trace, jit=False))
+        seq_results.append(core.run(trace))
     seq_s = time.perf_counter() - t0
 
     if streamed:
         trace.invalidate_summary()
-    batch = BatchCore(lanes, jit=False)
+    batch = BatchCore(lanes)
     t0 = time.perf_counter()
     batch_results = batch.run(trace)
     batch_s = time.perf_counter() - t0
@@ -136,28 +125,12 @@ def _sweep(trace, grid, *, streamed):
     return seq_s, batch_s, batch_results
 
 
-def _jit_pass(trace, grid, reference, *, streamed):
-    """Time one compiled BatchCore pass over the grid, verified against
-    the interpreted results; returns its wall-clock seconds."""
-    warm()      # compile outside the timed region
-    if streamed:
-        trace.invalidate_summary()
-    batch = BatchCore([_lane(way, lat) for way, lat in grid], jit=True)
-    t0 = time.perf_counter()
-    results = batch.run(trace)
-    jit_s = time.perf_counter() - t0
-    for point, (ref_r, jit_r) in zip(grid, zip(reference, results)):
-        assert jit_r == ref_r, f"jit path diverged at {point}"
-        assert jit_r.meta["jit"] is True, point
-    return jit_s
-
-
 def test_streaming_sweep(force_streaming):
     """The headline: aggregate grid-points/sec on a streamed same-trace
     sweep, BatchCore vs sequential Core.run."""
     trace = _stream_trace(STREAM_N)
     grid = _grid()
-    seq_s, batch_s, results = _sweep(trace, grid, streamed=True)
+    seq_s, batch_s, _ = _sweep(trace, grid, streamed=True)
     row = {
         "instructions": len(trace),
         "configs": len(grid),
@@ -167,12 +140,6 @@ def test_streaming_sweep(force_streaming):
         "batch_points_per_sec": round(len(grid) / batch_s, 4),
         "aggregate_speedup": round(seq_s / batch_s, 2),
     }
-    if JIT_BENCH:
-        jit_s = _jit_pass(trace, grid, results, streamed=True)
-        row["jit_batch_seconds"] = round(jit_s, 3)
-        row["jit_points_per_sec"] = round(len(grid) / jit_s, 4)
-        row["jit_speedup_vs_batch"] = round(batch_s / jit_s, 2)
-        row["jit_speedup_vs_sequential"] = round(seq_s / jit_s, 2)
     _results["streaming"] = row
     print(f"\nstreaming n={row['instructions']} configs={row['configs']}  "
           f"seq {seq_s:.1f}s  batch {batch_s:.1f}s  "
@@ -250,7 +217,7 @@ def test_frame_scale_sweep(force_streaming):
     trace = _stream_trace(
         FRAME_N, builder=lambda: built_app("mpeg2_frame", "mmx").trace)
     grid = _grid()
-    seq_s, batch_s, results = _sweep(trace, grid, streamed=True)
+    seq_s, batch_s, _ = _sweep(trace, grid, streamed=True)
     row = {
         "app": "mpeg2_frame",
         "frame_prefix_instructions": len(trace),
@@ -259,11 +226,6 @@ def test_frame_scale_sweep(force_streaming):
         "batch_seconds": round(batch_s, 3),
         "aggregate_speedup": round(seq_s / batch_s, 2),
     }
-    if JIT_BENCH:
-        jit_s = _jit_pass(trace, grid, results, streamed=True)
-        row["jit_batch_seconds"] = round(jit_s, 3)
-        row["jit_points_per_sec"] = round(len(grid) / jit_s, 4)
-        row["jit_speedup_vs_batch"] = round(batch_s / jit_s, 2)
     _results["frame"] = row
     print(f"\nframe n={row['frame_prefix_instructions']} "
           f"configs={row['configs']}  seq {seq_s:.1f}s  "

@@ -14,7 +14,7 @@ Public API highlights:
 * :mod:`repro.eval` -- drivers regenerating every table and figure.
 """
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 from .core.matrix import MomRegister
 from .core.accumulator import PackedAccumulator, PipelinedAccumulation

@@ -59,10 +59,9 @@ cycles, so there is no cross-lane cycle lockstep to vectorize; lockstep
 exists at the *trace* level instead: all lanes consume one decoded block
 stream, pausing at block boundaries, and identical lanes (same config,
 knobs and perfect-memory shape) collapse to one simulation whose result
-is replicated.  Between blocks every lane's scheduler state is
-snapshotted into numpy arrays -- the driver uses them for the
-ring-retention invariant, and they are the inter-block lane state of
-record.
+is replicated.  At each pause a lane records how far it has committed;
+the driver checks that against the ring-retention invariant before
+decoding over the oldest block.
 
 Divergent events -- mispredict redirects, structural parks, memory-model
 retries -- are per-lane by nature and handled inside each lane's
@@ -80,8 +79,6 @@ import gc
 import heapq
 from collections import deque
 from time import perf_counter as _perf_counter
-
-import numpy as _np
 
 from ..emulib.trace import DynInstr, TimingRecord, Trace
 from ..isa.model import InstrClass, RegPool
@@ -529,7 +526,8 @@ class _LaneState:
                  "fu_busy", "fu_of", "scan", "lanes_of",
                  "fu_simple", "fu_total",
                  "pm", "mem_try", "mem_hint", "ctl_key", "accounting",
-                 "cycles", "fetch_stalls", "rename_stalls", "stack", "sync")
+                 "committed", "cycles", "fetch_stalls", "rename_stalls",
+                 "stack")
 
     def __init__(self, spec: LaneSpec, index: int) -> None:
         cfg = spec.config
@@ -573,11 +571,11 @@ class _LaneState:
         self.mem_hint = getattr(ms, "earliest_issue", None)
         self.ctl_key = (cfg.bimodal_entries, cfg.btb_entries)
         self.accounting = spec.accounting
+        self.committed = 0        # read by BatchCore.run's retention check
         self.cycles = 0
         self.fetch_stalls = 0
         self.rename_stalls = 0
         self.stack = None         # CPI-stack dict when accounting is on
-        self.sync = None          # bound by BatchCore.run
 
 
 def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
@@ -628,7 +626,6 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     front_latency = ls.front_latency
     fqcap = 2 * width
     redirect = Core.MISPREDICT_REDIRECT
-    sync = ls.sync
 
     fu_of = ls.fu_of
     scan = ls.scan
@@ -706,8 +703,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
 
     while committed < n:
         while fetch_idx > aw:
-            sync(cycle, committed, disp_idx, fetch_idx,
-                 fetch_stalls, rename_stalls, D, fu_busy)
+            ls.committed = committed
             yield
             avail = shared.avail
             aw = avail - width if avail < n else n
@@ -1105,6 +1101,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                     st_fetch += skipped
             cycle = nxt - 1     # the loop header re-increments
 
+    ls.committed = committed
     ls.cycles = cycle
     ls.fetch_stalls = fetch_stalls
     ls.rename_stalls = rename_stalls
@@ -1119,8 +1116,6 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
         portset.element_accesses = pm_elem
         pm.acct_accesses += pm_acct_n
         pm.acct_occupancy += pm_acct_occ
-    sync(cycle, committed, disp_idx, fetch_idx,
-         fetch_stalls, rename_stalls, D, fu_busy)
 
 
 class BatchCore:
@@ -1142,12 +1137,7 @@ class BatchCore:
     BLOCK = 1 << 16
     RING = 1 << 17
 
-    def __init__(self, lanes, *, jit: bool | None = None) -> None:
-        """``jit`` forces the compiled fast path on/off for every lane it
-        can express; ``None`` (default) uses it when available unless
-        ``REPRO_NO_JIT=1``.  Inexpressible lanes always stay on the
-        interpreted steppers (a *mixed* group runs both paths)."""
-        self.jit = jit
+    def __init__(self, lanes) -> None:
         specs: list[LaneSpec] = []
         for lane in lanes:
             if not isinstance(lane, LaneSpec):
@@ -1173,9 +1163,7 @@ class BatchCore:
 
         ``phases``, when given, accumulates decode/step/writeback
         wall-clock seconds across the whole group (shared decode plus
-        every lane), timed at decode-block granularity.  Jit-expressed
-        representatives contribute through :func:`run_lanes_jit`'s own
-        phase accounting into the same dict.
+        every lane), timed at decode-block granularity.
         """
         lanes = self.lanes
         n = len(trace)
@@ -1200,83 +1188,19 @@ class BatchCore:
             empty = {name: 0 for name in ("base", "fetch", "rename",
                                           "fu_structural", "mem_conflict",
                                           "mem_latency", "drain")}
-            results = [self._result(
+            return [self._result(
                 lane, 0, 0, 0, None, 0, operations=operations,
                 stack=empty if lane.accounting else None) for lane in lanes]
-            for result in results:
-                result.meta["jit"] = False
-            return results
-
-        # Representatives the jit kernel can express run through it (one
-        # shared-decode pass of their own); the rest -- and everything,
-        # on an UnjittableError -- stay on the interpreted steppers.
-        from .jit import (UnjittableError, jit_available, jit_enabled,
-                          lane_unjittable_reason, run_lanes_jit)
-        use_jit = jit_enabled() if self.jit is None else bool(self.jit)
-        jit_stats: dict[int, dict] = {}
-        if use_jit and jit_available():
-            jit_reps = [i for i in reps
-                        if lane_unjittable_reason(lanes[i]) is None]
-            if jit_reps:
-                try:
-                    stats = run_lanes_jit(
-                        [lanes[i] for i in jit_reps], trace,
-                        block=self.BLOCK, ring=self.RING, phases=phases)
-                except UnjittableError:
-                    pass
-                else:
-                    jit_stats = dict(zip(jit_reps, stats))
-        py_reps = [i for i in reps if i not in jit_stats]
 
         _t = _perf_counter()
         _decode_t = 0.0
         _step_t = 0.0
-        states = [_LaneState(lanes[i], i) for i in py_reps]
-        dep_cap = max((st.rob_size for st in states), default=1)
+        states = [_LaneState(lanes[i], i) for i in reps]
+        dep_cap = max(st.rob_size for st in states)
         shared = _SharedDecode(trace, dep_cap,
                                {st.ctl_key for st in states},
                                self.BLOCK, self.RING)
         _decode_t += _perf_counter() - _t
-
-        # Inter-block lane state of record: scheduler snapshots the
-        # driver reads for the retention invariant and callers can
-        # inspect for progress.
-        L = len(lanes)
-        npools = len(RegPool)
-        state = {
-            "cycle": _np.zeros(L, dtype=_np.int64),
-            "committed": _np.zeros(L, dtype=_np.int64),
-            "rob_occupancy": _np.zeros(L, dtype=_np.int64),
-            "fetch_index": _np.zeros(L, dtype=_np.int64),
-            "lsq_used": _np.zeros(L, dtype=_np.int64),
-            "fetch_stall_cycles": _np.zeros(L, dtype=_np.int64),
-            "rename_stall_events": _np.zeros(L, dtype=_np.int64),
-            "inflight_regs": _np.zeros((L, npools), dtype=_np.int64),
-            "fu_next_free": _np.zeros((L, 3), dtype=_np.int64),
-        }
-        self.state = state
-
-        def make_sync(row: int, limits, lsq_size: int):
-            def sync(cycle, committed, disp_idx, fetch_idx,
-                     fetch_stalls, rename_stalls, D, fu_busy):
-                state["cycle"][row] = cycle
-                state["committed"][row] = committed
-                state["rob_occupancy"][row] = disp_idx - committed
-                state["fetch_index"][row] = fetch_idx
-                state["lsq_used"][row] = lsq_size - (
-                    ((D >> _LSQ_SHIFT) & 0xffff) - _BIAS)
-                state["fetch_stall_cycles"][row] = fetch_stalls
-                state["rename_stall_events"][row] = rename_stalls
-                state["inflight_regs"][row] = [
-                    limits[p] - (((D >> (p << 4)) & 0xffff) - _BIAS)
-                    for p in range(npools)]
-                state["fu_next_free"][row] = [min(b) if b else 0
-                                              for b in fu_busy]
-            return sync
-
-        for st in states:
-            st.sync = make_sync(st.index, st.phys_limit, st.lsq_size)
-        rep_rows = _np.array(py_reps, dtype=_np.int64)
 
         steppers = [_lane_stepper(st, shared) for st in states]
         active = []
@@ -1299,7 +1223,7 @@ class BatchCore:
                         # hug it; this is the safety net for that proof).
                         m = min(self.BLOCK, n - shared.avail)
                         floor = shared.avail + m - shared.size
-                        cmin = int(state["committed"][rep_rows].min())
+                        cmin = min(st.committed for st in states)
                         if cmin < floor:
                             raise RuntimeError(
                                 "batch ring retention violated: lane "
@@ -1322,37 +1246,16 @@ class BatchCore:
                 gc.enable()
 
         _t = _perf_counter()
-        # Jit lanes never stepped through the snapshot syncs; record
-        # their final state so self.state reads consistently.
-        for i, s in jit_stats.items():
-            state["cycle"][i] = s["cycles"]
-            state["committed"][i] = n
-            state["fetch_index"][i] = n
-            state["fetch_stall_cycles"][i] = s["fetch_stalls"]
-            state["rename_stall_events"][i] = s["rename_stalls"]
-
         by_rep = {st.index: st for st in states}
         results: list[SimResult] = []
         for idx, lane in enumerate(lanes):
             rep = share[idx]
-            s = jit_stats.get(rep)
-            if s is not None:
-                result = self._result(
-                    lane, s["cycles"], s["fetch_stalls"],
-                    s["rename_stalls"], s["ctl"], n, mirrored=rep != idx,
-                    stats_of=lanes[rep], operations=operations,
-                    stack=s.get("stack"))
-                result.meta["jit"] = True
-            else:
-                st = by_rep[rep]
-                ctl = shared.ctl[st.ctl_key]
-                result = self._result(
-                    lane, st.cycles, st.fetch_stalls, st.rename_stalls,
-                    ctl, n, mirrored=rep != idx,
-                    stats_of=lanes[rep], operations=operations,
-                    stack=st.stack)
-                result.meta["jit"] = False
-            results.append(result)
+            st = by_rep[rep]
+            results.append(self._result(
+                lane, st.cycles, st.fetch_stalls, st.rename_stalls,
+                shared.ctl[st.ctl_key], n, mirrored=rep != idx,
+                stats_of=lanes[rep], operations=operations,
+                stack=st.stack))
         if phases is not None:
             phases["decode"] = phases.get("decode", 0.0) + _decode_t
             phases["step"] = phases.get("step", 0.0) + _step_t

@@ -334,7 +334,7 @@ class Core:
 
     # --- public API --------------------------------------------------------------
 
-    def run(self, trace: Trace, *, jit: bool | None = None,
+    def run(self, trace: Trace, *,
             phases: dict | None = None) -> SimResult:
         """Simulate a full trace to completion and return statistics.
 
@@ -347,11 +347,6 @@ class Core:
         whose retry cadence the scheduler reproduces exactly.
 
         Args:
-            jit: ``True``/``False`` forces the compiled fast path on or
-                off; ``None`` (default) uses it when available unless
-                ``REPRO_NO_JIT=1``.  Points the kernel cannot express
-                fall back to this interpreted loop automatically;
-                ``result.meta["jit"]`` records which path ran.
             phases: optional dict the run *adds* decode/step/writeback
                 wall-clock seconds into.  Timed only at natural block
                 boundaries — record-source setup, the scheduler loop,
@@ -361,12 +356,6 @@ class Core:
                 stepping and is accounted under ``step``.
         """
         self._reset_frontend()
-        from .jit import jit_enabled
-        use_jit = jit_enabled() if jit is None else bool(jit)
-        if use_jit:
-            result = self._run_jit(trace, phases=phases)
-            if result is not None:
-                return result
         cfg = self.config
         width = cfg.width
         n = len(trace)
@@ -664,7 +653,7 @@ class Core:
                 fetch_stall_cycles += 1
 
             # --- account: attribute this cycle to exactly one stack bucket ------
-            # End-of-cycle classification, first-match-wins (DESIGN.md §9):
+            # End-of-cycle classification, first-match-wins (DESIGN.md §8):
             # full-width commit > head memory latency > head memory conflict
             # > window admission > FU structural > base > drain > fetch.
             if accounting:
@@ -808,64 +797,9 @@ class Core:
                 mem_latency=st_meml, drain=st_drain))
             if hasattr(self.memsys, "accounting_stats"):
                 result.meta["mem_accounting"] = self.memsys.accounting_stats()
-        result.meta["jit"] = False
         if phases is not None:
             phases["writeback"] = (phases.get("writeback", 0.0)
                                    + _perf_counter() - _t)
-        return result
-
-    def _run_jit(self, trace: Trace,
-                 phases: dict | None = None) -> SimResult | None:
-        """Attempt the compiled fast path; ``None`` means fall back.
-
-        The jit kernel consumes the same shared-decode rings as
-        :class:`~repro.cpu.batch.BatchCore` and is bit-identical to this
-        method's interpreted loop on every result field.  Inexpressible
-        points (non-perfect memory, numba missing, in-kernel capacity
-        limits) return ``None`` without mutating caller-visible state.
-        """
-        from .jit import (UnjittableError, jit_available,
-                          lane_unjittable_reason, run_lanes_jit)
-        if not jit_available() or len(trace) == 0:
-            return None
-        from .batch import LaneSpec
-        spec = LaneSpec(self.config, self.memsys,
-                        acc_chaining=self.acc_chaining,
-                        late_release=bool(self.late_release_pools),
-                        zero_idiom_elision=bool(self.zero_idioms),
-                        accounting=self.accounting)
-        if lane_unjittable_reason(spec) is not None:
-            return None
-        # Phase timings go to a local dict first: an UnjittableError
-        # mid-run must not leave partial jit timings in the caller's
-        # view of the interpreted re-run.
-        jit_phases: dict | None = {} if phases is not None else None
-        try:
-            (stats,) = run_lanes_jit([spec], trace, phases=jit_phases)
-        except UnjittableError:
-            return None
-        ctl = stats["ctl"]
-        result = SimResult(
-            cycles=stats["cycles"],
-            instructions=len(trace),
-            operations=trace.operation_count(),
-            branch_lookups=ctl.lookups,
-            branch_mispredicts=ctl.mispredicts,
-            btb_misses=ctl.btb_misses,
-            fetch_stall_cycles=stats["fetch_stalls"],
-            rename_stall_events=stats["rename_stalls"],
-            mem_stats=self.memsys.stats() if hasattr(self.memsys, "stats")
-            else {},
-        )
-        if self.accounting:
-            result.stack = checked_stack(
-                stats["cycles"], TimingStats(**stats["stack"]))
-            if hasattr(self.memsys, "accounting_stats"):
-                result.meta["mem_accounting"] = self.memsys.accounting_stats()
-        result.meta["jit"] = True
-        if phases is not None:
-            for key, dt in jit_phases.items():
-                phases[key] = phases.get(key, 0.0) + dt
         return result
 
     def run_reference(self, trace: Trace) -> SimResult:

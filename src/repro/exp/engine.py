@@ -77,7 +77,7 @@ def _phase_meta(phases: dict) -> dict:
     return {key: round(value, 6) for key, value in phases.items()}
 
 
-def execute_point(point: PointSpec, *, jit: bool | None = None,
+def execute_point(point: PointSpec, *,
                   obs: Obs | None = None, parent=None) -> SimResult:
     """Build, verify and simulate one point (no caching).
 
@@ -86,9 +86,7 @@ def execute_point(point: PointSpec, *, jit: bool | None = None,
     so sweeps and the core-speed benchmark can track simulator throughput,
     and ``meta["phases"]`` breaks it into decode/step/writeback (see
     :meth:`Core.run`); ``meta`` is excluded from result equality and
-    digests.  ``jit`` forwards to :meth:`Core.run` (``None`` defers to
-    availability and ``REPRO_NO_JIT``); either path returns bit-identical
-    results.  ``obs``/``parent`` attach trace.build and sim.point spans
+    digests.  ``obs``/``parent`` attach trace.build and sim.point spans
     under an existing handle when telemetry is enabled.
     """
     obs = obs if obs is not None else OBS_OFF
@@ -105,7 +103,7 @@ def execute_point(point: PointSpec, *, jit: bool | None = None,
                      memory=point.memory) as span:
         start_wall = time.time()
         start = time.perf_counter()
-        result = core.run(built.trace, jit=jit, phases=phases)
+        result = core.run(built.trace, phases=phases)
         elapsed = time.perf_counter() - start
     result.meta["sim_seconds"] = round(elapsed, 6)
     if elapsed > 0:
@@ -129,19 +127,12 @@ def _export_stack(obs: Obs, result: SimResult) -> None:
             f'cpi_stack_cycles{{component="{name}"}}').inc(value)
 
 
-def _worker(payload: dict) -> dict:
-    """Process-pool entry: execute one point from its plain-data payload."""
-    result = execute_point(PointSpec.from_payload(payload))
-    return result.to_dict()
-
-
 def build_key(point: PointSpec) -> tuple[str, str, str, int]:
     """The build-memo key: points sharing it simulate the same trace."""
     return (point.kind, point.target, point.isa, point.scale)
 
 
-def execute_batch(points: list[PointSpec],
-                  *, jit: bool | None = None,
+def execute_batch(points: list[PointSpec], *,
                   obs: Obs | None = None, parent=None) -> list[SimResult]:
     """Simulate same-trace points as one :class:`BatchCore` pass.
 
@@ -174,7 +165,7 @@ def execute_batch(points: list[PointSpec],
     lanes = [LaneSpec(machine_config(p.way, p.isa), make_memsys(p),
                       accounting=p.accounting)
              for p in points]
-    core = BatchCore(lanes, jit=jit)   # validates lanes before simulation
+    core = BatchCore(lanes)   # validates lanes before simulation
     group = "-".join(str(k) for k in build_key(first))
     phases: dict = {}
     with tracer.span("sim.group", parent=parent, group=group,
@@ -190,8 +181,7 @@ def execute_batch(points: list[PointSpec],
         # keeping per-point throughput numbers comparable with the
         # sequential path; sim_seconds_estimated marks it as a share
         # rather than a measurement, and batch_group_seconds carries the
-        # measured whole-pass cost (batch_seconds is the historical
-        # alias, kept for existing readers).
+        # measured whole-pass cost.
         result.meta["sim_seconds"] = round(share, 6)
         result.meta["sim_seconds_estimated"] = True
         if share > 0:
@@ -199,7 +189,6 @@ def execute_batch(points: list[PointSpec],
                 result.instructions / share)
         result.meta["batch_lanes"] = len(points)
         result.meta["batch_group"] = group
-        result.meta["batch_seconds"] = round(elapsed, 6)
         result.meta["batch_group_seconds"] = round(elapsed, 6)
         result.meta["phases"] = dict(phase_meta)
     obs.phase_spans(span, start_wall, phases)
@@ -216,14 +205,7 @@ def batching_enabled() -> bool:
     return os.environ.get("REPRO_NO_BATCH") != "1"
 
 
-def jitting_enabled() -> bool:
-    """Process-wide jit toggle (``REPRO_NO_JIT=1`` disables)."""
-    from ..cpu.jit import jit_enabled
-    return jit_enabled()
-
-
-def execute_group(points: list[PointSpec],
-                  *, jit: bool | None = None,
+def execute_group(points: list[PointSpec], *,
                   obs: Obs | None = None, parent=None) -> list[SimResult]:
     """Execute one same-trace group, batched when possible.
 
@@ -234,18 +216,17 @@ def execute_group(points: list[PointSpec],
 
     if len(points) > 1 and batching_enabled():
         try:
-            return execute_batch(points, jit=jit, obs=obs, parent=parent)
+            return execute_batch(points, obs=obs, parent=parent)
         except UnbatchableError:
             pass
-    return [execute_point(point, jit=jit, obs=obs, parent=parent)
+    return [execute_point(point, obs=obs, parent=parent)
             for point in points]
 
 
-def _group_worker(task) -> dict | list:
+def _group_worker(task: dict) -> dict:
     """Process-pool entry: execute one same-trace group of points.
 
-    ``task`` is either the historical plain list of point payloads
-    (returns a plain list of result dicts) or a dict::
+    ``task`` is a dict::
 
         {"points": [payload, ...], "span": (trace_id, span_id) | None}
 
@@ -255,9 +236,6 @@ def _group_worker(task) -> dict | list:
     methods are both safe -- and ships the finished records back for
     the parent tracer to stitch (:meth:`~repro.obs.Tracer.adopt`).
     """
-    if not isinstance(task, dict):
-        points = [PointSpec.from_payload(p) for p in task]
-        return [result.to_dict() for result in execute_group(points)]
     points = [PointSpec.from_payload(p) for p in task["points"]]
     parent = task.get("span")
     obs = Obs.make(trace_id=parent[0]) if parent is not None else OBS_OFF
@@ -302,13 +280,6 @@ class Session:
             whole group) instead of looping ``Core.run``.  Results are
             bit-identical; only wall-clock differs.  Also disabled by
             ``REPRO_NO_BATCH=1``.
-        jit: allow the compiled timing-core fast path (numba kernels)
-            on points it can express; inexpressible points fall back to
-            the interpreted loop automatically.  Results are
-            bit-identical; only wall-clock differs.  ``False`` forces
-            the interpreted path; also disabled by ``REPRO_NO_JIT=1``
-            (the env var is what pool workers inherit -- in-process
-            execution additionally honors this flag).
         obs: telemetry bundle (:class:`~repro.obs.Obs`).  Defaults to
             :func:`~repro.obs.obs_from_env` -- disabled no-op singletons
             unless ``REPRO_OBS=1`` / ``REPRO_OBS_TRACE=path`` is set.
@@ -322,7 +293,7 @@ class Session:
     def __init__(self, cache_dir: str | Path | None = None, *,
                  jobs: int = 1, salt: str | None = None,
                  use_cache: bool = True, batch: bool = True,
-                 jit: bool = True, obs: Obs | None = None) -> None:
+                 obs: Obs | None = None) -> None:
         if os.environ.get("REPRO_NO_CACHE") == "1":
             use_cache = False
         self.obs = obs if obs is not None else obs_from_env()
@@ -332,14 +303,9 @@ class Session:
         self.salt = source_fingerprint() if salt is None else salt
         self.jobs = jobs
         self.batch = batch
-        self.jit = jit
         self.hits = 0
         self.misses = 0
         self._memo: dict[str, SimResult] = {}
-
-    def _jit_arg(self) -> bool | None:
-        """``jit`` forward for executors: defer when on, force off when off."""
-        return None if self.jit else False
 
     # --- cache plumbing ---------------------------------------------------
 
@@ -413,7 +379,7 @@ class Session:
             return cached
         self.misses += 1
         self.obs.metrics.counter("session_cache_misses").inc()
-        result = execute_point(point, jit=self._jit_arg(), obs=self.obs)
+        result = execute_point(point, obs=self.obs)
         self.store(point, result)
         return result
 
@@ -491,7 +457,7 @@ class Session:
                 # decode, when batched) happens once in one worker instead of
                 # every worker rebuilding every target.
                 # (With batching off, groups are singletons and the group
-                # worker degenerates to the historical per-point worker.)
+                # worker runs one point per task.)
                 # Workers get the root span's handle and ship their span
                 # records back with the results; the sink is local to each
                 # worker call, so this survives pool reuse and either
@@ -527,8 +493,7 @@ class Session:
                    parent=None) -> None:
         """Execute one same-trace group in process, caching per point."""
         self.misses += len(group)
-        group_results = execute_group(group, jit=self._jit_arg(),
-                                      obs=self.obs, parent=parent)
+        group_results = execute_group(group, obs=self.obs, parent=parent)
         with self.obs.tracer.span("cache.put", parent=parent,
                                   points=len(group)):
             for point, result in zip(group, group_results):

@@ -472,3 +472,45 @@ def test_cli_tables(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out and "Table 2" in out and "Table 3" in out
+
+
+def test_bench_delta_lines_tolerate_schema_drift():
+    from repro.exp.cli import _bench_delta_lines
+    old = {"a": 1, "dropped": 2.0, "same": "x", "renamed": 3}
+    new = {"a": 2, "added": True, "same": "x"}
+    text = "\n".join(_bench_delta_lines(old, new))
+    assert "a: 1 -> 2  (+100.0%)" in text
+    assert "dropped: 2.0 -> n/a" in text
+    assert "added: n/a -> True" in text
+    assert "renamed: 3 -> n/a" in text
+    assert "same" not in text
+    assert _bench_delta_lines({}, {}) == []
+    assert _bench_delta_lines({"k": 1}, {"k": 1}) == []
+
+
+def test_cli_retired_jit_flags_warn_and_change_nothing(tmp_path, capsys):
+    """``--jit``/``--no-jit`` still parse for one release: each prints a
+    one-line deprecation notice on stderr and leaves the results as they
+    are without the flag."""
+    from repro.exp.cli import build_parser, main
+
+    argv = ["figure5", "--kernel", "addblock", "--no-cache",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert "deprecated" not in plain.err
+    for flag in ("--jit", "--no-jit"):
+        assert main(argv + [flag]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        notice = [line for line in flagged.err.splitlines()
+                  if "deprecated" in line]
+        assert len(notice) == 1 and flag in notice[0]
+        assert "no effect" in notice[0]
+    args = build_parser().parse_args(["bench", "--smoke", "--no-jit"])
+    assert args.suite == "batch" and args.smoke
+    assert "--no-jit" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert "numba" not in capsys.readouterr().out

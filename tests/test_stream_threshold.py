@@ -11,7 +11,7 @@ megainstruction traces, so the boundary is exercised by lowering
 ``STREAM_THRESHOLD`` to a kernel-sized value -- the selection logic is
 identical, only the constant moves.
 
-``BatchCore`` (and the jit driver behind it) has no such choice: its
+``BatchCore`` has no such choice: its
 shared decode always reads the trace's columnar rows, sealed chunks then
 staging tail, and never fills the record cache.  The geometry tests pin
 that every way of laying the same rows out in chunks digests exactly as
@@ -22,7 +22,6 @@ import pytest
 
 from repro.cpu import Core, machine_config
 from repro.cpu.batch import BatchCore, LaneSpec
-from repro.cpu.jit import run_lanes_jit
 from repro.emulib.trace import CHUNK_ROWS, Trace
 from repro.exp.engine import built_kernel
 from repro.memsys import PerfectMemory
@@ -111,32 +110,25 @@ GEOMETRIES = {
 }
 
 
-@pytest.mark.parametrize("jit", (False, True), ids=("purepy", "jit"))
 @pytest.mark.parametrize("isa", ("mmx", "mom"))
 @pytest.mark.parametrize("geometry", list(GEOMETRIES))
-def test_column_geometry_batch_matches_core(monkeypatch, geometry, isa, jit):
-    """However the rows are chunked, a BatchCore lane -- interpreted or
-    through the jit kernel (forced runnable without numba) -- digests
-    exactly as ``Core.run``, and leaves the record cache empty."""
-    monkeypatch.setenv("REPRO_JIT_PUREPY", "1")
+def test_column_geometry_batch_matches_core(geometry, isa):
+    """However the rows are chunked, a BatchCore lane digests exactly as
+    ``Core.run``, and leaves the record cache empty."""
     trace = GEOMETRIES[geometry](isa)
-    (result,) = BatchCore([_lane(isa)], jit=jit).run(trace)
-    assert result.meta["jit"] is jit
+    (result,) = BatchCore([_lane(isa)]).run(trace)
     assert not trace.records_cached()
     fresh = _lane(isa)
-    ref = Core(fresh.config, fresh.memsys).run(trace, jit=False)
+    ref = Core(fresh.config, fresh.memsys).run(trace)
     assert result.instructions == len(trace)
     assert result_digest(result) == result_digest(ref)
 
 
-def test_batch_paths_leave_record_cache_empty(monkeypatch):
+def test_batch_paths_leave_record_cache_empty():
     """Below ``STREAM_THRESHOLD`` ``Core.run`` caches the record list; the
     batch decode must not, which is what keeps a cold sweep's peak memory
     at the columnar store plus the decode rings."""
-    monkeypatch.setenv("REPRO_JIT_PUREPY", "1")
     trace = _trace_of_length(THRESHOLD)
     assert len(trace) < Core.STREAM_THRESHOLD
-    BatchCore([_lane("mmx"), _lane("mmx")], jit=False).run(trace)
-    assert not trace.records_cached()
-    run_lanes_jit([_lane("mmx")], trace)
+    BatchCore([_lane("mmx"), _lane("mmx")]).run(trace)
     assert not trace.records_cached()
